@@ -22,20 +22,12 @@
 //!
 //! # Live report over any subset of shard stores:
 //! cargo run --release -p via-bench --bin campaign -- report shard0 shard2
-//!
-//! # Long-running job server + a smoke client that exercises the dedup
-//! # layers:
-//! cargo run --release -p via-bench --bin campaign -- \
-//!     serve --dir serve_store --listen 127.0.0.1:0 --port-file addr.txt
-//! cargo run --release -p via-bench --bin campaign -- \
-//!     client --addr "$(cat addr.txt)" --count 4 --repeat 3 --shutdown
 //! ```
 
 use std::path::PathBuf;
 use via_bench::campaign::{
     aggregate_report, aggregate_report_dirs, load_quarantine, merge_stores, quarantine_table,
-    run_campaign, run_client, serve, CampaignConfig, ClientConfig, Corpus, KernelKind, Mode,
-    ServeConfig, ShardSpec,
+    run_campaign, CampaignConfig, Corpus, KernelKind, Mode, ShardSpec,
 };
 use via_bench::report::banner;
 use via_bench::tune::{tune, tuned_path, write_tuned, TuneConfig};
@@ -62,8 +54,6 @@ fn usage() -> ! {
          \x20      campaign tune --dir <store> [tune options]\n\
          \x20      campaign merge <out-store> <in-store>...\n\
          \x20      campaign report <store>...\n\
-         \x20      campaign serve --dir <store> [--listen <addr>] [serve options]\n\
-         \x20      campaign client --addr <host:port> [client options]\n\
          \n\
          corpus (pick one; default --synthetic 64):\n\
          \x20 --synthetic <N>        N-matrix stratified synthetic corpus (paper uses 1024)\n\
@@ -90,23 +80,7 @@ fn usage() -> ! {
          \x20 --kernels <a,b,..>     tunable kernels (default all): spmv spmm sptrsv symgs\n\
          \x20 --no-audit             skip re-simulating pruned variants (audit is on by default)\n\
          \x20 --expect-non-default <N>  exit 1 unless >= N matrices prefer a non-default variant\n\
-         \x20 --matrices/--min-rows/--max-rows/--seed/--threads  corpus overrides\n\
-         \n\
-         serve options:\n\
-         \x20 --listen <addr>        bind address (default 127.0.0.1:0, ephemeral port)\n\
-         \x20 --port-file <path>     write the bound address here (for scripts)\n\
-         \x20 --threads <N>          simulation workers (default 2)\n\
-         \x20 --budget-ms <N>        per-job wall-clock budget (default 120000)\n\
-         \n\
-         client options:\n\
-         \x20 --addr <host:port>     server address (required)\n\
-         \x20 --kernel <name>        kernel to request (default spmv_csb)\n\
-         \x20 --family <name>        synthetic family (default banded)\n\
-         \x20 --count <N>            distinct matrices (default 4)\n\
-         \x20 --repeat <N>           requests per matrix (default 3)\n\
-         \x20 --rows <N>             base matrix size (default 96)\n\
-         \x20 --expect-dedup <N>     exit 1 unless >= N requests were deduplicated\n\
-         \x20 --shutdown             drain and stop the server after the batch"
+         \x20 --matrices/--min-rows/--max-rows/--seed/--threads  corpus overrides"
     );
     std::process::exit(2);
 }
@@ -391,142 +365,6 @@ fn cmd_report(args: &[String]) {
     }
 }
 
-fn cmd_serve(args: &[String]) {
-    let mut dir: Option<PathBuf> = None;
-    let mut listen = "127.0.0.1:0".to_string();
-    let mut port_file = None;
-    let mut threads = 2usize;
-    let mut budget_ms = 120_000u64;
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--dir" => dir = Some(PathBuf::from(need(&mut it, "--dir"))),
-            "--listen" => listen = need(&mut it, "--listen"),
-            "--port-file" => port_file = Some(PathBuf::from(need(&mut it, "--port-file"))),
-            "--threads" => {
-                threads = need(&mut it, "--threads")
-                    .parse()
-                    .unwrap_or_else(|_| usage())
-            }
-            "--budget-ms" => {
-                budget_ms = need(&mut it, "--budget-ms")
-                    .parse()
-                    .unwrap_or_else(|_| usage())
-            }
-            "--help" | "-h" => usage(),
-            other => {
-                eprintln!("unknown serve argument {other:?}");
-                usage()
-            }
-        }
-    }
-    let Some(dir) = dir else {
-        eprintln!("serve needs --dir");
-        usage()
-    };
-    let mut cfg = ServeConfig::new(dir);
-    cfg.listen = listen;
-    cfg.port_file = port_file;
-    cfg.threads = threads;
-    cfg.budget_ms = budget_ms;
-    let handle = match serve::start(&cfg) {
-        Ok(h) => h,
-        Err(e) => {
-            eprintln!("serve failed to start: {e}");
-            std::process::exit(1);
-        }
-    };
-    eprintln!(
-        "campaign serve listening on {} | store {} | {} workers",
-        handle.addr(),
-        cfg.dir.display(),
-        cfg.threads,
-    );
-    handle.join();
-    let stats = via_sim::telemetry::snapshot();
-    println!(
-        "serve drained: {} requests ({} memo, {} coalesced)",
-        stats.serve_requests, stats.serve_memo_hits, stats.serve_coalesced,
-    );
-}
-
-fn cmd_client(args: &[String]) {
-    let mut addr: Option<String> = None;
-    let mut cfg = ClientConfig::new(String::new());
-    let mut expect_dedup: Option<u64> = None;
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--addr" => addr = Some(need(&mut it, "--addr")),
-            "--kernel" => {
-                let name = need(&mut it, "--kernel");
-                cfg.kernel = KernelKind::parse(&name).unwrap_or_else(|| {
-                    eprintln!("unknown kernel {name:?}");
-                    usage()
-                });
-            }
-            "--family" => cfg.family = need(&mut it, "--family"),
-            "--count" => cfg.count = need(&mut it, "--count").parse().unwrap_or_else(|_| usage()),
-            "--repeat" => {
-                cfg.repeat = need(&mut it, "--repeat")
-                    .parse()
-                    .unwrap_or_else(|_| usage())
-            }
-            "--rows" => cfg.rows = need(&mut it, "--rows").parse().unwrap_or_else(|_| usage()),
-            "--seed" => cfg.seed = need(&mut it, "--seed").parse().unwrap_or_else(|_| usage()),
-            "--expect-dedup" => {
-                expect_dedup = Some(
-                    need(&mut it, "--expect-dedup")
-                        .parse()
-                        .unwrap_or_else(|_| usage()),
-                )
-            }
-            "--shutdown" => cfg.shutdown = true,
-            "--help" | "-h" => usage(),
-            other => {
-                eprintln!("unknown client argument {other:?}");
-                usage()
-            }
-        }
-    }
-    let Some(addr) = addr else {
-        eprintln!("client needs --addr");
-        usage()
-    };
-    cfg.addr = addr;
-    let outcome = match run_client(&cfg) {
-        Ok(o) => o,
-        Err(e) => {
-            eprintln!("client session failed: {e}");
-            std::process::exit(1);
-        }
-    };
-    println!(
-        "client: {} simulated, {} memo, {} coalesced, {} errors \
-         | server totals: {} requests, {} simulated, {} deduplicated, {} session rows",
-        outcome.simulated,
-        outcome.memo,
-        outcome.coalesced,
-        outcome.errors,
-        outcome.stats.requests,
-        outcome.stats.simulated,
-        outcome.stats.deduplicated(),
-        outcome.stats.session_rows,
-    );
-    if outcome.errors > 0 {
-        eprintln!("client saw {} errored requests", outcome.errors);
-        std::process::exit(1);
-    }
-    if let Some(want) = expect_dedup {
-        let got = outcome.deduplicated().max(outcome.stats.deduplicated());
-        if got < want {
-            eprintln!("expected >= {want} deduplicated requests, saw {got}");
-            std::process::exit(1);
-        }
-        println!("dedup check: {got} >= {want} requests answered without re-simulation");
-    }
-}
-
 fn cmd_tune(args: &[String]) {
     let mut cfg = TuneConfig::quick();
     let mut dir: Option<PathBuf> = None;
@@ -612,8 +450,6 @@ fn main() {
         Some("tune") => cmd_tune(&args[1..]),
         Some("merge") => cmd_merge(&args[1..]),
         Some("report") => cmd_report(&args[1..]),
-        Some("serve") => cmd_serve(&args[1..]),
-        Some("client") => cmd_client(&args[1..]),
         Some("run") => cmd_run(&args[1..]),
         // Legacy flag-only form (`campaign --dir ...`) is the run command.
         Some(flag) if flag.starts_with("--") => cmd_run(&args),

@@ -35,10 +35,10 @@ use via_bench::{
     SweepMemo, TuneConfig,
 };
 
-/// Pre-overhaul wall-clock per iteration (ms), measured with
-/// `cargo bench -p via-bench` on the same workloads at the commit that
-/// introduced the golden cycle-count snapshots (the last point where the
-/// timing model and today's are bit-identical by test).
+/// Pre-overhaul wall-clock per iteration (ms), measured with the
+/// workspace's former per-experiment bench mains on the same workloads at
+/// the commit that introduced the golden cycle-count snapshots (the last
+/// point where the timing model and today's are bit-identical by test).
 const BASELINE_SPMV_TINY_MS: f64 = 7.472;
 const BASELINE_HISTOGRAM_MS: f64 = 16.257;
 
@@ -52,8 +52,8 @@ const BASELINE_SWEEP_MIPS: f64 = 11.73;
 /// keeps revisiting the same (config × matrix) grid while iterating.
 const SWEEP_REPS: usize = 40;
 
-/// The exact workloads the baselines were recorded on (see
-/// `benches/spmv.rs` and `benches/histogram.rs`).
+/// The exact workloads the baselines were recorded on: this SpMV suite
+/// through `fig10_spmv`, and `fig12a_histogram(1500, 5)`.
 fn spmv_tiny_scale() -> ExperimentScale {
     ExperimentScale {
         matrices: 3,

@@ -33,7 +33,7 @@ use via_kernels::{
 };
 use via_rng::StdRng;
 use via_sim::verify::{self, Diag, Severity};
-use via_sim::{analyze, AnalysisCache};
+use via_sim::{analyze, json_string, AnalysisCache};
 
 /// Aggregated static-analysis outcome over one target's recorded streams.
 #[derive(Default)]
@@ -208,10 +208,6 @@ fn frontier(n: usize, k: usize, seed: u64) -> SparseVector {
         let idx = ((i as u64 * 2654435761 + seed) % n as u64) as usize;
         (idx, 1.0 + i as f64)
     }))
-}
-
-fn json_escape(s: &str) -> String {
-    s.replace('\\', "\\\\").replace('"', "\\\"")
 }
 
 fn main() {
@@ -472,7 +468,7 @@ fn main() {
         }
         let a = &o.analysis;
         targets.push_str(&format!(
-            "    {{\"name\": \"{}\", \"engines\": {}, \"instructions\": {}, \
+            "    {{\"name\": {}, \"engines\": {}, \"instructions\": {}, \
              \"errors\": {}, \"warnings\": {}, \"analysis\": {{\
              \"streams\": {}, \"dead_writes\": {}, \"dead_stores\": {}, \
              \"dead_store_bytes\": {}, \"alias_conflicts\": {}, \
@@ -480,7 +476,7 @@ fn main() {
              \"simulated_cycles\": {}, \"tightness\": {:.4}, \
              \"cam_runs\": {}, \"cam_proven\": {}, \
              \"cam_insert_upper_max\": {}, \"failures\": {}}}}}",
-            o.name,
+            json_string(&o.name),
             o.engines,
             o.instructions,
             o.errors(),
@@ -514,14 +510,14 @@ fn main() {
                 Severity::Analysis => "analysis",
             };
             violations.push_str(&format!(
-                "    {{\"target\": \"{}\", \"code\": \"{}\", \"severity\": \
-                 \"{severity}\", \"inst_index\": {}, \"tag\": \"{}\", \
-                 \"message\": \"{}\"}}",
-                o.name,
+                "    {{\"target\": {}, \"code\": \"{}\", \"severity\": \
+                 \"{severity}\", \"inst_index\": {}, \"tag\": {}, \
+                 \"message\": {}}}",
+                json_string(&o.name),
                 d.code.code(),
                 d.index,
-                json_escape(d.tag),
-                json_escape(&d.message)
+                json_string(d.tag),
+                json_string(&d.message)
             ));
         }
         for f in &o.analysis.failures {
@@ -530,11 +526,11 @@ fn main() {
             }
             first = false;
             violations.push_str(&format!(
-                "    {{\"target\": \"{}\", \"code\": \"analysis\", \"severity\": \
+                "    {{\"target\": {}, \"code\": \"analysis\", \"severity\": \
                  \"error\", \"inst_index\": 0, \"tag\": \"bound\", \
-                 \"message\": \"{}\"}}",
-                o.name,
-                json_escape(f)
+                 \"message\": {}}}",
+                json_string(&o.name),
+                json_string(f)
             ));
         }
     }

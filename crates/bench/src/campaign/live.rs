@@ -1,16 +1,14 @@
 //! Incremental aggregate reports: Fig-10/11 geomeans rebuilt row-by-row
 //! as results land, instead of re-reading the whole store per render.
 //!
-//! [`ReportBuilder`] is the accumulator behind three front ends:
+//! [`ReportBuilder`] is the accumulator behind two front ends:
 //!
 //! * `campaign --report-only` / [`super::aggregate_report`] — one store,
 //!   loaded once, rendered once (the PR-5 behavior, now routed through
 //!   the builder);
 //! * [`aggregate_report_dirs`] — a **live fleet view**: any subset of
 //!   shard stores, deduplicated by manifest key, so a partial distributed
-//!   run always has a consistent report without materializing the merge;
-//! * `campaign serve` — the server ingests each completed job into a
-//!   long-lived builder and answers `{"op":"report"}` from memory.
+//!   run always has a consistent report without materializing the merge.
 //!
 //! Ingest is O(1) amortized (a duplicate-filtered push per row); render
 //! re-buckets the retained `(key, speedup)` points, so the expensive part

@@ -35,10 +35,6 @@
 //!   timing configuration rebuilds its result row from the memo and skips
 //!   the simulator entirely — level two of the compile/replay pipeline's
 //!   memoization (level one is the in-process [`via_sim::StreamCache`]).
-//! * **Service mode** — [`serve`] wraps the same store and memo layers in
-//!   a long-running batching job server over a local socket: the
-//!   "millions of users" front door that answers duplicate simulation
-//!   requests from the memo without touching the engine.
 //! * **Work-stealing queue** — workers claim job indices from a shared
 //!   atomic counter (the same contention-free scheme as
 //!   [`parallel_map`](crate::suite::parallel_map)) with per-worker progress
@@ -56,15 +52,10 @@
 //! partial fleet run always has a consistent report.
 
 pub mod live;
-pub mod serve;
 pub mod shard;
 pub mod store;
 
 pub use live::{aggregate_report_dirs, ReportBuilder};
-pub use serve::{
-    run_client, ClientConfig, ClientOutcome, Request, Response, ServeConfig, ServeStats,
-    ServerHandle, SimTarget,
-};
 pub use shard::{
     canonical_sort, canonical_sort_cycles, canonical_sort_quarantine, merge_stores, shard_key,
     MergeSummary, ShardSpec,
@@ -87,15 +78,6 @@ use via_core::ViaConfig;
 use via_formats::gen::{self, MatrixSpec, StratifiedConfig};
 use via_formats::{Csb, Csr, FormatError, SellCSigma, Spc5};
 use via_kernels::{spma, spmm, spmv, ssr, SimContext};
-
-/// FNV-1a over a byte stream: the stable 64-bit content hash used for
-/// matrix fingerprints, per-row integrity hashes, and shard keys.
-/// Delegates to the simulator's [`via_sim::fnv1a64`] so the store's
-/// fingerprints and the compile/replay pipeline's stream/config hashes
-/// share one definition.
-pub fn fnv1a64(bytes: impl IntoIterator<Item = u8>) -> u64 {
-    via_sim::fnv1a64(bytes)
-}
 
 // ---------------------------------------------------------------------------
 // Kernels and jobs
@@ -184,7 +166,7 @@ impl JobSource {
             JobSource::Synthetic(spec) => Ok(spec.fingerprint()),
             JobSource::File(path) => {
                 let bytes = std::fs::read(path)?;
-                Ok(fnv1a64(bytes))
+                Ok(via_sim::fnv1a64(bytes))
             }
         }
     }
@@ -401,8 +383,8 @@ fn run_meta<T>(run: &via_kernels::KernelRun<T>) -> (u64, u64, u64) {
 /// Executes one job end to end: materialize the matrix, run the
 /// baseline/VIA kernel pair under stream recording (the compile phase),
 /// verify functional agreement, build the result row and its cycle-memo
-/// row. Pure function of its inputs — the determinism the resume, shard,
-/// and serve contracts all lean on.
+/// row. Pure function of its inputs — the determinism the resume and
+/// shard contracts lean on.
 ///
 /// With `backends`, the SSR rival kernel runs as a third leg where one
 /// exists (SpMV streams the CSR regardless of the baseline's format; SpMM
@@ -1132,13 +1114,5 @@ mod tests {
         let corpus = Corpus::Files(vec![PathBuf::from("a.mtx"), PathBuf::from("a.mtx")]);
         let jobs = corpus.jobs(&[KernelKind::SpmvCsb, KernelKind::Spma]);
         assert_eq!(jobs.len(), 2);
-    }
-
-    #[test]
-    fn fnv_is_stable() {
-        // Pinned: the store format depends on this constant staying put.
-        assert_eq!(fnv1a64(*b""), 0xcbf29ce484222325);
-        assert_eq!(fnv1a64(*b"via"), fnv1a64(*b"via"));
-        assert_ne!(fnv1a64(*b"via"), fnv1a64(*b"vib"));
     }
 }

@@ -14,15 +14,16 @@
 //! dedup and sort are content-driven, merging the same stores in **any
 //! order yields byte-identical output** — and merging a 3-shard run is
 //! byte-identical to canonicalizing a solo run, which is exactly what the
-//! CI `distributed` job `cmp`s.
+//! CI 3-shard merge smoke `cmp`s.
 
 use super::store::{
     cycles_path, load_cycles, load_quarantine, load_results, quarantine_path, results_path,
     rewrite_jsonl, write_meta, CycleRow, QuarantineRow, ResultRow, StoreMeta,
 };
-use super::{fnv1a64, CampaignError};
+use super::CampaignError;
 use std::collections::HashMap;
 use std::path::{Path, PathBuf};
+use via_sim::fnv1a64;
 
 /// One shard of a campaign corpus: `index` of `total` (zero-based).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]

@@ -5,37 +5,18 @@
 //! content hash over the line body (`"hash"` suffix field). Loaders
 //! validate the seal and silently drop torn or tampered lines, so a store
 //! written by a killed process is always readable. The workspace is
-//! dependency-free by design: JSON is hand-rolled here the same way the
-//! Chrome-trace exporter does it.
+//! dependency-free by design: JSON is hand-rolled here, with string
+//! literals escaped by the simulator's [`via_sim::json_string`].
 
-use super::fnv1a64;
 use super::shard::ShardSpec;
 use std::io::{BufRead, Write};
 use std::path::{Path, PathBuf};
 use std::sync::Mutex;
+use via_sim::{fnv1a64, json_string};
 
 // ---------------------------------------------------------------------------
 // JSON primitives
 // ---------------------------------------------------------------------------
-
-/// Serializes a string as a JSON string literal (quotes, escapes).
-pub(crate) fn json_string(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for ch in s.chars() {
-        match ch {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
-}
 
 /// One scalar field of a flat JSONL row.
 #[derive(Debug, Clone, PartialEq)]
@@ -699,6 +680,21 @@ mod tests {
         let back = ResultRow::from_jsonl(&line).expect("parse");
         assert_eq!(back, row);
         assert!((back.speedup() - 4.0).abs() < 1e-12);
+    }
+
+    #[test]
+    fn result_row_bytes_are_pinned() {
+        // Rows are sealed over their bytes: any change to the field order,
+        // number formatting or string escaping breaks every existing store.
+        let row = ResultRow {
+            matrix: "q\"b\\s\nn\tt\u{1}u".into(),
+            ..sample_row()
+        };
+        assert_eq!(
+            row.to_jsonl(),
+            r#"{"schema":1,"matrix":"q\"b\\s\nn\tt\u0001u","fingerprint":"deadbeef01234567","kernel":"spmv_csb","config":"16_2p","rows":128,"cols":128,"nnz":512,"key":7.25,"base_cycles":10000,"via_cycles":2500,"hash":"04132105a704f674"}"#
+        );
+        assert_eq!(ResultRow::from_jsonl(&row.to_jsonl()), Some(row));
     }
 
     #[test]

@@ -19,7 +19,6 @@
 pub mod ablations;
 pub mod campaign;
 pub mod experiments;
-pub mod microbench;
 pub mod multicore;
 pub mod paper;
 pub mod report;

@@ -27,11 +27,10 @@ use std::path::{Path, PathBuf};
 
 use via_gen::{GenInputs, GenOutput, Kernel, KernelVariant};
 use via_kernels::{SimContext, TraceOptions};
-use via_sim::{fnv1a64, AnalysisCache, CompiledStream, StallCause};
+use via_sim::{fnv1a64, json_string, AnalysisCache, CompiledStream, StallCause};
 
 use crate::campaign::store::{
-    json_string, line_integrity_ok, load_rows, num_field, parse_flat_object, rewrite_jsonl,
-    seal_row, str_field,
+    line_integrity_ok, load_rows, num_field, parse_flat_object, rewrite_jsonl, seal_row, str_field,
 };
 use crate::experiments::{point_key, CompiledRun, SweepMemo};
 use crate::suite::{parallel_map, ExperimentScale, Suite};

@@ -133,7 +133,7 @@ pub enum Op {
 }
 
 impl Op {
-    /// A compact tag naming the operation class (used by the timeline).
+    /// A compact tag naming the operation class (used in diagnostics).
     pub fn tag(&self) -> &'static str {
         match self {
             Op::Scalar { .. } => "scalar",

@@ -23,9 +23,6 @@ static ANALYZED_STREAMS: AtomicU64 = AtomicU64::new(0);
 static ANALYZED_INSTRUCTIONS: AtomicU64 = AtomicU64::new(0);
 static ANALYSIS_CACHE_HITS: AtomicU64 = AtomicU64::new(0);
 static ANALYSIS_CACHE_MISSES: AtomicU64 = AtomicU64::new(0);
-static SERVE_REQUESTS: AtomicU64 = AtomicU64::new(0);
-static SERVE_MEMO_HITS: AtomicU64 = AtomicU64::new(0);
-static SERVE_COALESCED: AtomicU64 = AtomicU64::new(0);
 
 /// Credits `n` retired instructions to the process-wide counter. Called by
 /// the engine on `finish()` and `reset()`; an engine dropped mid-run is
@@ -93,24 +90,6 @@ pub(crate) fn record_analysis_cache(hit: bool) {
     counter.fetch_add(1, Ordering::Relaxed);
 }
 
-/// Counts one simulation request accepted by a `campaign serve` front
-/// door (whatever layer ends up answering it).
-pub fn record_serve_request() {
-    SERVE_REQUESTS.fetch_add(1, Ordering::Relaxed);
-}
-
-/// Counts a serve-mode request answered from a memo layer (session
-/// results or the persistent cycle memo) without touching the engine.
-pub fn record_serve_memo_hit() {
-    SERVE_MEMO_HITS.fetch_add(1, Ordering::Relaxed);
-}
-
-/// Counts a serve-mode request coalesced onto an identical in-flight
-/// job (one simulation, many answers).
-pub fn record_serve_coalesced() {
-    SERVE_COALESCED.fetch_add(1, Ordering::Relaxed);
-}
-
 /// Total simulated instructions retired by all engines in this process,
 /// across all threads. Monotonic; diff two readings to bracket a sweep.
 pub fn simulated_instructions() -> u64 {
@@ -148,12 +127,6 @@ pub struct TelemetrySnapshot {
     pub analysis_cache_hits: u64,
     /// Analysis-report memo misses.
     pub analysis_cache_misses: u64,
-    /// Simulation requests accepted by `campaign serve`.
-    pub serve_requests: u64,
-    /// Serve requests answered from a memo layer without simulating.
-    pub serve_memo_hits: u64,
-    /// Serve requests coalesced onto an identical in-flight job.
-    pub serve_coalesced: u64,
 }
 
 impl TelemetrySnapshot {
@@ -173,9 +146,6 @@ impl TelemetrySnapshot {
             analyzed_instructions: self.analyzed_instructions - earlier.analyzed_instructions,
             analysis_cache_hits: self.analysis_cache_hits - earlier.analysis_cache_hits,
             analysis_cache_misses: self.analysis_cache_misses - earlier.analysis_cache_misses,
-            serve_requests: self.serve_requests - earlier.serve_requests,
-            serve_memo_hits: self.serve_memo_hits - earlier.serve_memo_hits,
-            serve_coalesced: self.serve_coalesced - earlier.serve_coalesced,
         }
     }
 
@@ -188,7 +158,7 @@ impl TelemetrySnapshot {
     /// A one-line human-readable summary of the compile/replay/memo split
     /// (used by the `campaign`, `scorecard`, and `stall_report` binaries).
     pub fn render(&self) -> String {
-        let mut line = format!(
+        format!(
             "compile/replay: {} streams compiled ({} instr), {} instr replayed, \
              {} instr memo-skipped | stream cache {}/{} hit, cycle memo {}/{} hit \
              | analyzed {} streams ({} instr), analysis memo {}/{} hit",
@@ -204,14 +174,7 @@ impl TelemetrySnapshot {
             self.analyzed_instructions,
             self.analysis_cache_hits,
             self.analysis_cache_hits + self.analysis_cache_misses,
-        );
-        if self.serve_requests > 0 {
-            line.push_str(&format!(
-                " | serve {} requests ({} memo, {} coalesced)",
-                self.serve_requests, self.serve_memo_hits, self.serve_coalesced,
-            ));
-        }
-        line
+        )
     }
 }
 
@@ -231,9 +194,6 @@ pub fn snapshot() -> TelemetrySnapshot {
         analyzed_instructions: ANALYZED_INSTRUCTIONS.load(Ordering::Relaxed),
         analysis_cache_hits: ANALYSIS_CACHE_HITS.load(Ordering::Relaxed),
         analysis_cache_misses: ANALYSIS_CACHE_MISSES.load(Ordering::Relaxed),
-        serve_requests: SERVE_REQUESTS.load(Ordering::Relaxed),
-        serve_memo_hits: SERVE_MEMO_HITS.load(Ordering::Relaxed),
-        serve_coalesced: SERVE_COALESCED.load(Ordering::Relaxed),
     }
 }
 

@@ -596,18 +596,28 @@ impl StallReport {
     }
 }
 
-fn escape_json(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
+/// Serializes a string as a JSON string literal: surrounding quotes,
+/// `\"` and `\\`, the `\n` / `\r` / `\t` shorthands, and `\u00XX` for
+/// every other control character. The one escaper in the workspace; the
+/// campaign store seals rows over these exact bytes, so the output must
+/// never change.
+pub fn json_string(s: &str) -> String {
+    let mut out = String::with_capacity(s.len() + 2);
+    out.push('"');
+    for ch in s.chars() {
+        match ch {
             '"' => out.push_str("\\\""),
             '\\' => out.push_str("\\\\"),
+            '\n' => out.push_str("\\n"),
+            '\r' => out.push_str("\\r"),
+            '\t' => out.push_str("\\t"),
             c if (c as u32) < 0x20 => {
                 let _ = write!(out, "\\u{:04x}", c as u32);
             }
             c => out.push(c),
         }
     }
+    out.push('"');
     out
 }
 
@@ -640,14 +650,14 @@ pub fn chrome_trace_json(ring: &EventRing, region_name: impl Fn(u16) -> &'static
                     seq,
                     format!(
                         "{{\"name\":\"{}\",\"cat\":\"inst\",\"ph\":\"X\",\"ts\":{},\"dur\":{},\
-                         \"pid\":0,\"tid\":{},\"args\":{{\"index\":{},\"region\":\"{}\",\
+                         \"pid\":0,\"tid\":{},\"args\":{{\"index\":{},\"region\":{},\
                          \"issue\":{},\"complete\":{},\"level\":\"{}\"}}}}",
                         class.name(),
                         fetch,
                         dur,
                         *class as usize + 1,
                         index,
-                        escape_json(region_name(*region)),
+                        json_string(region_name(*region)),
                         issue,
                         complete,
                         level.name(),
@@ -659,9 +669,9 @@ pub fn chrome_trace_json(ring: &EventRing, region_name: impl Fn(u16) -> &'static
                     *at,
                     seq,
                     format!(
-                        "{{\"name\":\"{}\",\"cat\":\"marker\",\"ph\":\"i\",\"s\":\"g\",\
+                        "{{\"name\":{},\"cat\":\"marker\",\"ph\":\"i\",\"s\":\"g\",\
                          \"ts\":{},\"pid\":0,\"tid\":0}}",
-                        escape_json(name),
+                        json_string(name),
                         at,
                     ),
                 ));
@@ -671,9 +681,9 @@ pub fn chrome_trace_json(ring: &EventRing, region_name: impl Fn(u16) -> &'static
                     *at,
                     seq,
                     format!(
-                        "{{\"name\":\"{}\",\"cat\":\"region\",\"ph\":\"B\",\"ts\":{},\
+                        "{{\"name\":{},\"cat\":\"region\",\"ph\":\"B\",\"ts\":{},\
                          \"pid\":0,\"tid\":{}}}",
-                        escape_json(region_name(*region)),
+                        json_string(region_name(*region)),
                         at,
                         REGION_TID,
                     ),
@@ -684,9 +694,9 @@ pub fn chrome_trace_json(ring: &EventRing, region_name: impl Fn(u16) -> &'static
                     *at,
                     seq,
                     format!(
-                        "{{\"name\":\"{}\",\"cat\":\"region\",\"ph\":\"E\",\"ts\":{},\
+                        "{{\"name\":{},\"cat\":\"region\",\"ph\":\"E\",\"ts\":{},\
                          \"pid\":0,\"tid\":{}}}",
-                        escape_json(region_name(*region)),
+                        json_string(region_name(*region)),
                         at,
                         REGION_TID,
                     ),
@@ -805,6 +815,16 @@ mod tests {
         assert_eq!(top[0], (OpClass::Gather, StallCause::LoadPort, 50));
         assert_eq!(top[1], (OpClass::Load, StallCause::DramBandwidth, 30));
         assert!(r.render(5).contains("gather"));
+    }
+
+    #[test]
+    fn json_string_output_is_pinned() {
+        // The campaign store seals rows over these bytes.
+        assert_eq!(json_string("plain"), r#""plain""#);
+        assert_eq!(
+            json_string("q\"b\\n\nt\tc\u{1}"),
+            r#""q\"b\\n\nt\tc\u0001""#
+        );
     }
 
     #[test]

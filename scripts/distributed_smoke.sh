@@ -11,9 +11,6 @@
 #    is killed ~30 % in (--max-jobs 1) and resumed.
 # 3. Merges the shard stores in two different input orders and `cmp`s
 #    results.jsonl AND cycles.jsonl byte-for-byte against the solo store.
-# 4. Smoke-tests `campaign serve`: a client submits duplicate requests
-#    and asserts the dedup counters; a second session must be answered
-#    entirely from the memo layers without re-simulation.
 #
 # Stores land in the given directory (default ./distributed_smoke) so CI
 # can upload them as artifacts when something diverges.
@@ -63,29 +60,5 @@ echo "    merge OK (order-independent, byte-identical to solo)"
 echo "==> incremental live report over a partial fleet (shards 0 and 2)"
 "$BIN" report "$OUT/shard0" "$OUT/shard2" >"$OUT/partial_report.txt"
 grep -q "result rows" "$OUT/partial_report.txt"
-
-echo "==> serve smoke: duplicate requests must be deduplicated"
-"$BIN" serve --dir "$OUT/serve_store" --listen 127.0.0.1:0 \
-    --port-file "$OUT/serve_addr.txt" --threads 2 >"$OUT/serve_log.txt" 2>&1 &
-SERVE=$!
-tries=0
-while [ ! -s "$OUT/serve_addr.txt" ]; do
-    tries=$((tries + 1))
-    if [ "$tries" -gt 120 ] || ! kill -0 $SERVE 2>/dev/null; then
-        echo "ERROR: serve did not come up" >&2
-        cat "$OUT/serve_log.txt" >&2 || true
-        exit 1
-    fi
-    sleep 0.5
-done
-ADDR=$(cat "$OUT/serve_addr.txt")
-# 4 distinct matrices x 3 repeats: at least the 8 repeats must be answered
-# from the coalescing/memo layers, not the engine.
-"$BIN" client --addr "$ADDR" --count 4 --repeat 3 --expect-dedup 8
-# A second identical session must be answered entirely from the memo.
-"$BIN" client --addr "$ADDR" --count 4 --repeat 3 --expect-dedup 12 --shutdown
-wait $SERVE
-grep -q "memo" "$OUT/serve_log.txt"
-echo "    serve smoke OK (dedup counters asserted, graceful drain)"
 
 echo "distributed smoke: OK"
