@@ -10,7 +10,7 @@ use via_formats::stats::{geomean, split_categories};
 use via_formats::{gen, Csb, SellCSigma, Spc5};
 use via_kernels::spmspv::{self, SparseVector};
 use via_kernels::{histogram, spma, spmm, spmv, stencil, KernelRun, SimContext, TraceOptions};
-use via_sim::{analyze, fnv1a64, AnalysisCache, Engine, StallCause, StallReport, StreamCache};
+use via_sim::{analyze, fnv1a64, Engine, StallCause, StallReport, StreamCache};
 
 /// One row of the Figure 9 design-space exploration: the speedup of each
 /// configuration over the `4_2p` baseline for the three kernels.
@@ -38,6 +38,9 @@ pub struct DseRow {
 ///   `(cycles, instructions)`, so a repetition that has already replayed a
 ///   stream under the current timing config skips the simulator entirely
 ///   — the point costs one cache probe instead of one simulation.
+/// * The score memo maps the same `(stream hash, config hash)` key to a
+///   tie-break score ([`SweepMemo::score_for`]), so the tuner's
+///   stall-accounting replay runs once per stream, not once per tie.
 ///
 /// Shared by reference across `parallel_map` workers; all interior
 /// mutability is lock-scoped and never held across kernel code.
@@ -45,6 +48,7 @@ pub struct DseRow {
 pub struct SweepMemo {
     streams: StreamCache,
     cycles: Mutex<HashMap<(u64, u64), (u64, u64)>>,
+    scores: Mutex<HashMap<(u64, u64), u64>>,
     compiles: std::sync::atomic::AtomicU64,
     replays: std::sync::atomic::AtomicU64,
     cycle_hits: std::sync::atomic::AtomicU64,
@@ -88,20 +92,58 @@ impl SweepMemo {
         self.cycles.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
+    fn score_map(&self) -> MutexGuard<'_, HashMap<(u64, u64), u64>> {
+        self.scores.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
     /// The shared compiled-stream cache (hit/miss counters included).
     pub fn streams(&self) -> &StreamCache {
         &self.streams
     }
 
-    /// Drops every cycle-memo entry while keeping the compiled streams —
-    /// the next repetition then measures the pure-replay path.
+    /// Drops every cycle-memo and score-memo entry while keeping the
+    /// compiled streams — the next repetition then measures the
+    /// pure-replay path.
     pub fn clear_cycle_memo(&self) {
         self.cycle_map().clear();
+        self.score_map().clear();
     }
 
     /// Number of memoized `(stream, config)` cycle entries.
     pub fn cycle_entries(&self) -> usize {
         self.cycle_map().len()
+    }
+
+    /// Number of memoized `(stream, config)` tie-break score entries.
+    pub fn score_entries(&self) -> usize {
+        self.score_map().len()
+    }
+
+    /// Resolves the tie-break score of the stream cached under
+    /// `point_key` through the score memo, computing it with `score` on
+    /// a miss (the lock is not held while `score` runs).
+    ///
+    /// # Panics
+    ///
+    /// Panics if no stream is cached under `point_key` (resolve the point
+    /// with [`SweepMemo::cycles_for`] first).
+    pub fn score_for(
+        &self,
+        point_key: u64,
+        config_hash: u64,
+        score: impl FnOnce(&via_sim::CompiledStream) -> u64,
+    ) -> u64 {
+        let stream = self
+            .streams
+            .get(point_key)
+            .expect("point resolved by cycles_for before scoring");
+        let key = (stream.stream_hash(), config_hash);
+        if let Some(&s) = self.score_map().get(&key) {
+            return s;
+        }
+        let s = score(&stream);
+        self.score_map().insert(key, s);
+        s
     }
 
     /// Points resolved by running the compile closure (full simulation).
@@ -312,14 +354,10 @@ impl BoundAuditRow {
 /// The `prunable` column is the DSE pre-simulation filter this enables:
 /// a point whose *lower bound* exceeds the per-matrix winner's *measured*
 /// cycles provably cannot win, so a repetition hunting only for winners
-/// could drop it before touching the engine. The audit is read-only on
-/// `memo` (reports are memoized in `cache`), keeping `fig9_dse_with_memo`
-/// bit-identical.
-pub fn fig9_bound_audit(
-    scale: &ExperimentScale,
-    memo: &SweepMemo,
-    cache: &AnalysisCache,
-) -> Vec<BoundAuditRow> {
+/// could drop it before touching the engine. Only the static bound pass
+/// ([`analyze::static_bound`]) runs, and the audit is read-only on `memo`,
+/// keeping `fig9_dse_with_memo` bit-identical.
+pub fn fig9_bound_audit(scale: &ExperimentScale, memo: &SweepMemo) -> Vec<BoundAuditRow> {
     let spmv_suite = Suite::generate(scale);
     let spmm_scale = scale.spmm();
     let spmm_suite = Suite::generate(&spmm_scale);
@@ -356,8 +394,8 @@ pub fn fig9_bound_audit(
                     };
                     let acfg = via_sim::AnalyzeConfig::from_machine(&core, &ctx.mem)
                         .with_cam_entries(ctx.via.cam_entries() as u64);
-                    let report = cache.get_or_analyze(&stream, &acfg);
-                    group.push((report.bound.lower_cycles, cycles));
+                    let bound = analyze::static_bound(stream.insts(), &acfg).lower_cycles;
+                    group.push((bound, cycles));
                 }
                 let Some(winner) = group.iter().map(|&(_, c)| c).min() else {
                     continue;
@@ -1051,8 +1089,7 @@ mod tests {
         };
         let memo = SweepMemo::new();
         let first = fig9_dse_with_memo(&scale, &memo);
-        let cache = AnalysisCache::default();
-        let rows = fig9_bound_audit(&scale, &memo, &cache);
+        let rows = fig9_bound_audit(&scale, &memo);
         assert_eq!(rows.len(), 3);
         for row in &rows {
             assert!(row.points > 0, "{}: nothing audited", row.kernel);

@@ -175,8 +175,9 @@ where
         let next = std::sync::atomic::AtomicUsize::new(0);
         let (slots, next, f) = (&slots, &next, &f);
         std::thread::scope(|scope| {
+            let mut workers = Vec::with_capacity(threads);
             for _ in 0..threads {
-                scope.spawn(move || loop {
+                workers.push(scope.spawn(move || loop {
                     let i = next.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
                     if i >= items.len() {
                         break;
@@ -190,7 +191,19 @@ where
                         debug_assert!((*slot).is_none(), "slot {i} claimed twice");
                         *slot = Some(r);
                     };
-                });
+                }));
+            }
+            // The scope alone only waits for the closures; joining waits
+            // for each OS thread to exit, which hands its allocator arena
+            // back before the next call spawns workers. Without it a
+            // late-exiting worker makes the next call's workers open fresh
+            // arenas, and the memory freed into the old ones is never
+            // reused (repeated `tune` calls on a loaded 2-vCPU host grew
+            // peak RSS by about a fifth).
+            for w in workers {
+                if let Err(panic) = w.join() {
+                    std::panic::resume_unwind(panic);
+                }
             }
         });
         // Backs the `Sync` SAFETY claim: the counter handed out every index
@@ -266,11 +279,11 @@ mod tests {
                 i
             })
         }));
-        assert!(
-            result.is_err(),
+        let payload = result.expect_err(
             "a panic in a worker must reach the caller, not vanish or \
-             surface as lock poisoning"
+             surface as lock poisoning",
         );
+        assert_eq!(payload.downcast_ref::<&str>(), Some(&"worker failure"));
     }
 
     #[test]

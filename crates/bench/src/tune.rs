@@ -7,16 +7,19 @@
 //!    is simulated first and becomes the incumbent;
 //! 2. every other variant is compiled **emit-only**
 //!    ([`SimContext::with_emit_only`]) — the stream is recorded and
-//!    verified but no timing is simulated — and handed to the static
-//!    analyzer; a candidate whose cycle **lower bound** already exceeds
-//!    the incumbent's measured cycles is pruned without ever touching the
-//!    simulator (sound: the bound never exceeds the true cycle count,
-//!    which `--audit` re-proves by replaying every pruned stream);
-//! 3. survivors are replayed through the shared [`SweepMemo`], so a
-//!    re-tune over the same corpus costs cache probes, not simulations;
+//!    verified but no timing is simulated — and goes through the static
+//!    bound pass ([`static_bound`]); a candidate whose cycle **lower
+//!    bound** already exceeds the incumbent's measured cycles is pruned
+//!    without ever touching the simulator (sound: the bound never exceeds
+//!    the true cycle count, which `--audit` re-proves by replaying every
+//!    pruned stream);
+//! 3. survivors move into the shared [`SweepMemo`] and are replayed
+//!    through it, so a re-tune over the same corpus costs cache probes,
+//!    not simulations;
 //! 4. cycle ties break on the stall breakdown (fewer attributed
 //!    non-active stall cycles wins; remaining ties keep the
-//!    earlier-enumerated variant).
+//!    earlier-enumerated variant), scored once per stream through the
+//!    [`SweepMemo`].
 //!
 //! Winners are sealed into `tuned.jsonl` — same hash-chained row format
 //! as the campaign store, rewritten atomically in canonical order, so two
@@ -27,7 +30,8 @@ use std::path::{Path, PathBuf};
 
 use via_gen::{GenInputs, GenOutput, Kernel, KernelVariant};
 use via_kernels::{SimContext, TraceOptions};
-use via_sim::{fnv1a64, json_string, AnalysisCache, CompiledStream, StallCause};
+use via_sim::analyze::static_bound;
+use via_sim::{fnv1a64, json_string, CompiledStream, StallCause};
 
 use crate::campaign::store::{
     line_integrity_ok, load_rows, num_field, parse_flat_object, rewrite_jsonl, seal_row, str_field,
@@ -327,7 +331,6 @@ pub fn tune(cfg: &TuneConfig, memo: &SweepMemo) -> TuneOutcome {
     let cfg_hash = via_sim::config_hash(&core, &ctx.mem);
     let acfg = via_sim::AnalyzeConfig::from_machine(&core, &ctx.mem)
         .with_cam_entries(ctx.via.cam_entries() as u64);
-    let analysis = AnalysisCache::default();
     let config_name = cfg.via.name();
 
     let per_matrix = parallel_map(&suite.matrices, cfg.scale.threads, |m| {
@@ -379,7 +382,7 @@ pub fn tune(cfg: &TuneConfig, memo: &SweepMemo) -> TuneOutcome {
                     v.name()
                 );
                 let stream = run.compiled.expect("emit-only context compiles");
-                let bound = analysis.get_or_analyze(&stream, &acfg).bound.lower_cycles;
+                let bound = static_bound(stream.insts(), &acfg).lower_cycles;
                 if bound > best.0 {
                     // Provably loses: its true cycle count is >= the
                     // bound, which already exceeds the incumbent.
@@ -399,7 +402,7 @@ pub fn tune(cfg: &TuneConfig, memo: &SweepMemo) -> TuneOutcome {
                         e.replay(&stream);
                         let stats = e.finish();
                         CompiledRun {
-                            stream: stream.clone(),
+                            stream,
                             cycles: stats.cycles,
                             instructions: stats.instructions,
                         }
@@ -412,12 +415,9 @@ pub fn tune(cfg: &TuneConfig, memo: &SweepMemo) -> TuneOutcome {
                 }
                 let wins = cycles < best.0 || {
                     cycles == best.0 && {
-                        let incumbent = memo
-                            .streams()
-                            .get(best.2)
-                            .expect("incumbent stream cached by cycles_for");
                         tally.stall_tiebreaks += 1;
-                        stall_score(&ctx, &stream) < stall_score(&ctx, &incumbent)
+                        let score = |key| memo.score_for(key, cfg_hash, |s| stall_score(&ctx, s));
+                        score(key) < score(best.2)
                     }
                 };
                 if wins {
@@ -541,10 +541,19 @@ mod tests {
         let memo = SweepMemo::new();
         let first = tune(&tiny_config(1), &memo);
         write_tuned(&dir_a, &first.rows).unwrap();
-        // Second run shares the memo: every point resolves from cache,
-        // yet the winners (and the sealed store) are byte-identical.
+        // The corpus has cycle ties, so the score memo is exercised.
+        assert!(first.stall_tiebreaks > 0, "{}", first.render());
+        assert!(memo.score_entries() > 0);
+        let (compiles, replays, scores) = (memo.compiles(), memo.replays(), memo.score_entries());
+        // Second run shares the memo: every point and every tie-break
+        // score resolves from cache, yet the winners (and the sealed
+        // store) are byte-identical.
         let again = tune(&tiny_config(4), &memo);
         write_tuned(&dir_b, &again.rows).unwrap();
+        assert_eq!(again.stall_tiebreaks, first.stall_tiebreaks);
+        assert_eq!(memo.compiles(), compiles, "warm re-tune must not compile");
+        assert_eq!(memo.replays(), replays, "warm re-tune must not replay");
+        assert_eq!(memo.score_entries(), scores, "warm re-tune must not score");
         let a = std::fs::read(tuned_path(&dir_a)).unwrap();
         let b = std::fs::read(tuned_path(&dir_b)).unwrap();
         assert!(!a.is_empty());

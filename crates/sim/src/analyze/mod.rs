@@ -20,7 +20,10 @@
 //! findings about *quality*, never correctness gates. The machine-readable
 //! [`AnalysisReport`] is keyed by `(stream_hash, config hash)` and memoized
 //! in an [`AnalysisCache`] exactly like cycle results memoize in the sweep
-//! memo, so a DSE sweep pays for each distinct stream once.
+//! memo, so a DSE sweep pays for each distinct stream once. The cycle
+//! bound takes no input from the other passes, so a caller that needs
+//! only the bound (the auto-tuner, `fig9_dse`'s bound audit) runs
+//! [`static_bound`] alone: it equals the report's `bound`.
 //!
 //! Every finding is *continuation-sound* (still true if the stream were a
 //! prefix of a longer run) and independently re-provable: [`validate`]

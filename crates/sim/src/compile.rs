@@ -212,11 +212,14 @@ impl CompiledStream {
     /// report also carries externally routed diagnostics such as
     /// `via-core`'s SSPM mode checks).
     pub fn from_recording(
-        insts: Vec<Inst>,
-        events: Vec<(usize, StreamEvent)>,
+        mut insts: Vec<Inst>,
+        mut events: Vec<(usize, StreamEvent)>,
         verify: Report,
     ) -> Self {
         telemetry::record_compiled(insts.len() as u64);
+        // Streams outlive their recording in memos: drop the growth slack.
+        insts.shrink_to_fit();
+        events.shrink_to_fit();
         let mut hash = Fnv::new();
         for inst in &insts {
             hash_inst(&mut hash, inst);
@@ -420,6 +423,25 @@ mod tests {
         assert_eq!(stream.len(), 2);
         assert_eq!(stream.verify().error_count(), 1);
         assert_eq!(stream.verify().instructions, 2);
+    }
+
+    #[test]
+    fn from_recording_drops_growth_slack() {
+        let insts = vec![
+            Inst::scalar(AluKind::Int, &[], Some(0)),
+            Inst::scalar(AluKind::Int, &[0], Some(1)),
+        ];
+        let events = vec![(1, StreamEvent::Marker("m"))];
+        let exact =
+            CompiledStream::from_recording(insts.clone(), events.clone(), Report::default());
+        let mut slack_insts = Vec::with_capacity(64);
+        slack_insts.extend(insts);
+        let mut slack_events = Vec::with_capacity(16);
+        slack_events.extend(events);
+        let stream = CompiledStream::from_recording(slack_insts, slack_events, Report::default());
+        assert_eq!(stream.insts.capacity(), stream.insts.len());
+        assert_eq!(stream.events.capacity(), stream.events.len());
+        assert_eq!(stream.stream_hash(), exact.stream_hash());
     }
 
     #[test]

@@ -1,7 +1,8 @@
 //! Tests for the `via-analyze` static-analysis subsystem: pass-level
 //! findings with their oracles, the CAM/marker pass, reuse profiles, the
-//! analysis memo, the engine attachment, and — most importantly — the
-//! randomized cross-validation that the static cycle lower bound never
+//! analysis memo, the engine attachment, the bound pass agreeing with the
+//! full analysis on every stream analyzed here, and — most importantly —
+//! the randomized cross-validation that the static cycle lower bound never
 //! exceeds the simulated cycle count.
 
 use via_rng::StdRng;
@@ -13,6 +14,15 @@ use via_sim::{CompiledStream, CoreConfig, Engine, MemConfig};
 fn compile(insts: Vec<Inst>, core: &CoreConfig) -> CompiledStream {
     let prog: Program = insts.into_iter().collect();
     CompiledStream::compile(prog, &VerifyConfig::from_core(core))
+}
+
+/// The full analysis, asserting that its bound equals the bound pass run
+/// on its own — the auto-tuner and the `fig9_dse` bound audit prune on
+/// [`analyze::static_bound`] alone.
+fn analyze_checked(stream: &CompiledStream, cfg: &AnalyzeConfig) -> analyze::AnalysisReport {
+    let report = analyze::analyze(stream, cfg);
+    assert_eq!(analyze::static_bound(stream.insts(), cfg), report.bound);
+    report
 }
 
 fn simulate(insts: &[Inst], core: &CoreConfig) -> u64 {
@@ -102,7 +112,7 @@ fn random_streams_bound_holds_and_findings_validate() {
         let cycles = simulate(&insts, &core);
         let stream = compile(insts, &core);
         let cfg = AnalyzeConfig::from_machine(&core, &MemConfig::default());
-        let report = analyze::analyze(&stream, &cfg);
+        let report = analyze_checked(&stream, &cfg);
         assert!(
             report.bound.lower_cycles <= cycles,
             "case {i}: bound {} > simulated {} (terms: {:?})",
@@ -127,7 +137,7 @@ fn dead_write_detected_and_renders_as_analysis() {
         Inst::store(0x100, 8, &[0]),
     ];
     let stream = compile(insts, &core);
-    let report = analyze::analyze(&stream, &AnalyzeConfig::default());
+    let report = analyze_checked(&stream, &AnalyzeConfig::default());
     assert_eq!(report.dead_writes, 1);
     assert_eq!(report.dead_write_sites[0].index, 0);
     assert_eq!(report.dead_write_sites[0].overwritten_at, 2);
@@ -149,7 +159,7 @@ fn read_register_is_not_a_dead_write() {
         Inst::store(0x100, 8, &[0]), // read before the redefinition
         Inst::scalar(AluKind::Int, &[], Some(0)),
     ];
-    let report = analyze::analyze(&compile(insts, &core), &AnalyzeConfig::default());
+    let report = analyze_checked(&compile(insts, &core), &AnalyzeConfig::default());
     assert_eq!(report.dead_writes, 0);
     // The final definition is unread at stream end: informational only.
     assert_eq!(report.unread_at_end, 1);
@@ -164,7 +174,7 @@ fn dead_store_is_byte_exact() {
         Inst::store(0x100, 8, &[0]),
     ];
     let stream = compile(fully_dead, &core);
-    let report = analyze::analyze(&stream, &AnalyzeConfig::default());
+    let report = analyze_checked(&stream, &AnalyzeConfig::default());
     assert_eq!(report.dead_stores, 1);
     assert_eq!(report.dead_store_bytes, 8);
     assert_eq!(report.dead_store_sites[0].index, 1);
@@ -177,7 +187,7 @@ fn dead_store_is_byte_exact() {
         Inst::store(0x100, 8, &[0]),
         Inst::store(0x101, 7, &[0]),
     ];
-    let report = analyze::analyze(&compile(partial, &core), &AnalyzeConfig::default());
+    let report = analyze_checked(&compile(partial, &core), &AnalyzeConfig::default());
     assert_eq!(report.dead_stores, 0);
 
     // A gather observes one byte before the overwrite: not dead.
@@ -187,7 +197,7 @@ fn dead_store_is_byte_exact() {
         Inst::gather(vec![0x104], 4, &[0], 1),
         Inst::store(0x100, 8, &[0]),
     ];
-    let report = analyze::analyze(&compile(observed, &core), &AnalyzeConfig::default());
+    let report = analyze_checked(&compile(observed, &core), &AnalyzeConfig::default());
     assert_eq!(report.dead_stores, 0);
 
     // A scatter can be the killer (but is never itself a candidate).
@@ -196,7 +206,7 @@ fn dead_store_is_byte_exact() {
         Inst::store(0x200, 4, &[0]),
         Inst::scatter(vec![0x200], 4, &[0]),
     ];
-    let report = analyze::analyze(&compile(scatter_kill, &core), &AnalyzeConfig::default());
+    let report = analyze_checked(&compile(scatter_kill, &core), &AnalyzeConfig::default());
     assert_eq!(report.dead_stores, 1);
 }
 
@@ -211,7 +221,7 @@ fn must_alias_conflict_and_ordering_evidence() {
         Inst::gather(vec![0x200, 0x300], 8, &[1], 2),
     ];
     let stream = compile(conflict, &core);
-    let report = analyze::analyze(&stream, &AnalyzeConfig::default());
+    let report = analyze_checked(&stream, &AnalyzeConfig::default());
     assert_eq!(report.alias_conflicts, 1);
     assert_eq!(report.alias_sites[0].gather, 3);
     assert_eq!(report.alias_sites[0].scatter, 2);
@@ -225,7 +235,7 @@ fn must_alias_conflict_and_ordering_evidence() {
         Inst::scatter(vec![0x200], 8, &[0]),
         Inst::gather(vec![0x208], 8, &[1], 2),
     ];
-    let report = analyze::analyze(&compile(line_share_only, &core), &AnalyzeConfig::default());
+    let report = analyze_checked(&compile(line_share_only, &core), &AnalyzeConfig::default());
     assert_eq!(report.alias_conflicts, 0);
 
     // A fence orders them.
@@ -236,7 +246,7 @@ fn must_alias_conflict_and_ordering_evidence() {
         Inst::fence(),
         Inst::gather(vec![0x200], 8, &[1], 2),
     ];
-    let report = analyze::analyze(&compile(fenced, &core), &AnalyzeConfig::default());
+    let report = analyze_checked(&compile(fenced, &core), &AnalyzeConfig::default());
     assert_eq!(report.alias_conflicts, 0);
 
     // Shared source register is ordering evidence.
@@ -245,7 +255,7 @@ fn must_alias_conflict_and_ordering_evidence() {
         Inst::scatter(vec![0x200], 8, &[0]),
         Inst::gather(vec![0x200], 8, &[0], 1),
     ];
-    let report = analyze::analyze(&compile(shared_src, &core), &AnalyzeConfig::default());
+    let report = analyze_checked(&compile(shared_src, &core), &AnalyzeConfig::default());
     assert_eq!(report.alias_conflicts, 0);
 
     // A source defined after the scatter is ordering evidence.
@@ -255,7 +265,7 @@ fn must_alias_conflict_and_ordering_evidence() {
         Inst::scalar(AluKind::Int, &[0], Some(1)),
         Inst::gather(vec![0x200], 8, &[1], 2),
     ];
-    let report = analyze::analyze(&compile(later_def, &core), &AnalyzeConfig::default());
+    let report = analyze_checked(&compile(later_def, &core), &AnalyzeConfig::default());
     assert_eq!(report.alias_conflicts, 0);
 }
 
@@ -269,7 +279,7 @@ fn reuse_profile_counts_exact_stack_distances() {
         Inst::load(0x008, 8, 2), // line A again: 1 distinct line between
         Inst::load(0x048, 8, 3), // line B again: distance 1
     ];
-    let report = analyze::analyze(&compile(insts, &core), &AnalyzeConfig::default());
+    let report = analyze_checked(&compile(insts, &core), &AnalyzeConfig::default());
     let whole = report.whole_stream();
     assert_eq!(whole.name, analyze::WHOLE_STREAM);
     assert_eq!(whole.accesses, 4);
@@ -293,7 +303,7 @@ fn reuse_attributes_to_regions_from_stream_events() {
     e.push(Inst::load(0x040, 8, 2));
     let stream = e.take_compiled().unwrap();
     let _ = e.finish();
-    let report = analyze::analyze(&stream, &AnalyzeConfig::default());
+    let report = analyze_checked(&stream, &AnalyzeConfig::default());
     assert_eq!(report.whole_stream().accesses, 3);
     let hot = report.regions.iter().find(|r| r.name == "hot").unwrap();
     assert_eq!(hot.accesses, 2);
@@ -321,7 +331,7 @@ fn cam_occupancy_bound_from_markers() {
     // vl = 4: worst segment proves at most 12 live entries.
     let mem = MemConfig::default();
     let roomy = AnalyzeConfig::from_machine(&core, &mem).with_cam_entries(16);
-    let report = analyze::analyze(&stream, &roomy);
+    let report = analyze_checked(&stream, &roomy);
     assert_eq!(report.cam.cam_intervals, 2);
     assert_eq!(report.cam.cam_ops, 4);
     assert_eq!(report.cam.insert_upper, 12);
@@ -329,7 +339,7 @@ fn cam_occupancy_bound_from_markers() {
     assert!(report.diags.is_empty());
 
     let tight = AnalyzeConfig::from_machine(&core, &mem).with_cam_entries(8);
-    let report = analyze::analyze(&stream, &tight);
+    let report = analyze_checked(&stream, &tight);
     assert_eq!(report.cam.proven_no_overflow, Some(false));
     assert_eq!(report.diags.len(), 1);
     assert_eq!(report.diags[0].code, DiagCode::CamOccupancyBound);
@@ -383,7 +393,7 @@ fn analysis_report_is_keyed_by_content() {
     let b = compile(vec![Inst::scalar(AluKind::Int, &[], Some(0))], &core);
     let cfg = AnalyzeConfig::default();
     assert_eq!(
-        analyze::analyze(&a, &cfg).stream_hash,
-        analyze::analyze(&b, &cfg).stream_hash
+        analyze_checked(&a, &cfg).stream_hash,
+        analyze_checked(&b, &cfg).stream_hash
     );
 }
