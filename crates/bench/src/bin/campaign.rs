@@ -5,22 +5,23 @@
 //! ```sh
 //! # Fresh 1,024-matrix synthetic sweep of the VIA-CSB SpMV kernel:
 //! cargo run --release -p via-bench --bin campaign -- \
-//!     --dir campaign_out --synthetic 1024
+//!     run --dir campaign_out --synthetic 1024
 //!
 //! # Killed halfway? Pick up where it died (completed work is skipped):
 //! cargo run --release -p via-bench --bin campaign -- \
-//!     --dir campaign_out --synthetic 1024 --resume
+//!     run --dir campaign_out --synthetic 1024 --resume
 //!
 //! # Shard 0 of a 3-process distributed run (see `merge` below):
 //! cargo run --release -p via-bench --bin campaign -- \
-//!     --dir shard0 --synthetic 1024 --shard 0/3
+//!     run --dir shard0 --synthetic 1024 --shard 0/3
 //!
 //! # Fold shard stores into one canonical store (byte-identical to a
 //! # canonicalized solo run):
 //! cargo run --release -p via-bench --bin campaign -- \
 //!     merge merged shard0 shard1 shard2
 //!
-//! # Live report over any subset of shard stores:
+//! # Report over one store, or live over any subset of shard stores:
+//! cargo run --release -p via-bench --bin campaign -- report campaign_out
 //! cargo run --release -p via-bench --bin campaign -- report shard0 shard2
 //! ```
 
@@ -43,14 +44,13 @@ struct Cli {
     budget_ms: u64,
     max_jobs: Option<usize>,
     shard: ShardSpec,
-    report_only: bool,
     quiet: bool,
     backends: bool,
 }
 
 fn usage() -> ! {
     eprintln!(
-        "usage: campaign [run] --dir <store> [corpus] [options]\n\
+        "usage: campaign run --dir <store> [corpus] [options]\n\
          \x20      campaign tune --dir <store> [tune options]\n\
          \x20      campaign merge <out-store> <in-store>...\n\
          \x20      campaign report <store>...\n\
@@ -72,7 +72,6 @@ fn usage() -> ! {
          \x20 --min-rows/--max-rows  synthetic matrix size range (default 256..8192)\n\
          \x20 --backends             also run the SSR rival backend per job (adds the\n\
          \x20                        SSR column to rows and the report's bake-off table)\n\
-         \x20 --report-only          print the aggregate report from the store and exit\n\
          \x20 --quiet                suppress per-job progress lines\n\
          \n\
          tune options (per-matrix auto-tuner over via-gen variant spaces):\n\
@@ -104,7 +103,6 @@ fn parse_run_cli(args: &[String]) -> Cli {
     let mut budget_ms = 120_000u64;
     let mut max_jobs = None;
     let mut shard = ShardSpec::SOLO;
-    let mut report_only = false;
     let mut quiet = false;
     let mut backends = false;
     let mut strat = StratifiedConfig::default();
@@ -175,7 +173,6 @@ fn parse_run_cli(args: &[String]) -> Cli {
                     .parse()
                     .unwrap_or_else(|_| usage())
             }
-            "--report-only" => report_only = true,
             "--quiet" => quiet = true,
             "--backends" => backends = true,
             "--help" | "-h" => usage(),
@@ -212,7 +209,6 @@ fn parse_run_cli(args: &[String]) -> Cli {
         budget_ms,
         max_jobs,
         shard,
-        report_only,
         quiet,
         backends,
     }
@@ -228,17 +224,6 @@ fn cmd_run(args: &[String]) {
              matrices in §V-B)",
         )
     );
-
-    if cli.report_only {
-        match aggregate_report(&cli.dir) {
-            Ok(report) => print!("{report}"),
-            Err(e) => {
-                eprintln!("cannot read store {}: {e}", cli.dir.display());
-                std::process::exit(1);
-            }
-        }
-        return;
-    }
 
     let mut cfg = CampaignConfig::new(&cli.dir);
     cfg.kernels = cli.kernels;
@@ -451,8 +436,6 @@ fn main() {
         Some("merge") => cmd_merge(&args[1..]),
         Some("report") => cmd_report(&args[1..]),
         Some("run") => cmd_run(&args[1..]),
-        // Legacy flag-only form (`campaign --dir ...`) is the run command.
-        Some(flag) if flag.starts_with("--") => cmd_run(&args),
         _ => usage(),
     }
 }

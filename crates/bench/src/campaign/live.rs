@@ -3,12 +3,12 @@
 //!
 //! [`ReportBuilder`] is the accumulator behind two front ends:
 //!
-//! * `campaign --report-only` / [`super::aggregate_report`] — one store,
-//!   loaded once, rendered once (the PR-5 behavior, now routed through
-//!   the builder);
-//! * [`aggregate_report_dirs`] — a **live fleet view**: any subset of
-//!   shard stores, deduplicated by manifest key, so a partial distributed
-//!   run always has a consistent report without materializing the merge.
+//! * [`super::aggregate_report`] — one store, loaded once, rendered once
+//!   (the report `campaign run` prints when it finishes);
+//! * [`aggregate_report_dirs`] — a **live fleet view** (`campaign report
+//!   <store>...`): any subset of shard stores, deduplicated by manifest
+//!   key, so a partial distributed run always has a consistent report
+//!   without materializing the merge.
 //!
 //! Ingest is O(1) amortized (a duplicate-filtered push per row); render
 //! re-buckets the retained `(key, speedup)` points, so the expensive part

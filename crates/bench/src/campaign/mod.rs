@@ -35,10 +35,11 @@
 //!   timing configuration rebuilds its result row from the memo and skips
 //!   the simulator entirely — level two of the compile/replay pipeline's
 //!   memoization (level one is the in-process [`via_sim::StreamCache`]).
-//! * **Work-stealing queue** — workers claim job indices from a shared
-//!   atomic counter (the same contention-free scheme as
-//!   [`parallel_map`](crate::suite::parallel_map)) with per-worker progress
-//!   telemetry.
+//! * **One job executor** — jobs run on the executor behind
+//!   [`parallel_map`](crate::suite::parallel_map): workers claim job
+//!   indices from a shared atomic counter, and each job returns an outcome
+//!   that the calling thread tallies into [`CampaignOutcome`] (including
+//!   the per-worker job counts).
 //! * **Corpus layer** — a campaign consumes either the deterministic
 //!   size/density-stratified synthetic corpus
 //!   ([`via_formats::gen::stratified_specs`], scaling to the paper's 1,024)
@@ -66,10 +67,10 @@ pub use store::{
 };
 
 use crate::report::{render_table, speedup};
-use crate::suite::default_threads;
+use crate::suite::{default_threads, run_jobs, worker_count};
 use std::collections::HashSet;
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::mpsc;
 use std::sync::Mutex;
 use std::time::Duration;
@@ -633,8 +634,8 @@ pub struct CampaignOutcome {
     pub foreign: usize,
     /// Jobs quarantined this run.
     pub quarantined: usize,
-    /// Whether the run stopped early because [`CampaignConfig::max_jobs`]
-    /// was reached.
+    /// Whether the run stopped (at [`CampaignConfig::max_jobs`] or on a
+    /// store I/O error) with at least one job left unrun.
     pub aborted: bool,
     /// Jobs completed per worker (work-stealing telemetry).
     pub per_worker: Vec<u64>,
@@ -646,7 +647,25 @@ pub struct CampaignOutcome {
     pub cycle_cache_hits: usize,
 }
 
-/// Errors a campaign can fail with before any job runs.
+/// What one job of [`run_campaign`] did; the calling thread tallies these
+/// into the [`CampaignOutcome`].
+enum JobOutcome {
+    /// Simulated and logged; `cycles` sums the baseline, VIA and SSR legs.
+    Simulated { cycles: u64 },
+    /// Rebuilt from the persistent cycle memo and logged.
+    MemoHit,
+    /// Already in the manifest, or quarantined by an earlier run.
+    Skipped,
+    /// Owned by another shard.
+    Foreign,
+    /// Failed and logged to the quarantine.
+    Quarantined,
+    /// Not started because the run had been stopped.
+    NotRun,
+}
+
+/// Errors a campaign can fail with: refusals before any job runs, and
+/// store I/O failures (which stop the run).
 #[derive(Debug)]
 pub enum CampaignError {
     /// [`Mode::Fresh`] on a directory that already holds results.
@@ -820,217 +839,171 @@ pub fn run_campaign(
     let quarantine_log = Appender::open(&quarantine_path(&cfg.dir))?;
     let cycles_log = Appender::open(&cycles_path(&cfg.dir))?;
 
-    let threads = cfg.threads.max(1).min(jobs.len().max(1));
-    let next = AtomicUsize::new(0);
+    let threads = worker_count(jobs.len(), cfg.threads);
     let stop = AtomicBool::new(false);
-    let completed = AtomicUsize::new(0);
-    let skipped = AtomicUsize::new(0);
-    let foreign = AtomicUsize::new(0);
-    let quarantined = AtomicUsize::new(0);
-    let cycle_hits = AtomicUsize::new(0);
-    let simulated_cycles = AtomicU64::new(0);
-    let per_worker: Vec<AtomicU64> = (0..threads).map(|_| AtomicU64::new(0)).collect();
+    // Jobs completed this run: numbers the progress lines and trips
+    // `--max-jobs`.
+    let done = AtomicUsize::new(0);
     let io_error: Mutex<Option<std::io::Error>> = Mutex::new(None);
     let budget = Duration::from_millis(cfg.budget_ms.max(1));
     let total = jobs.len();
+    let skip_quarantined = mode != Mode::RetryQuarantined;
 
-    let record_io_err = |e: std::io::Error| {
-        stop.store(true, Ordering::Relaxed);
-        let mut slot = io_error.lock().expect("io_error poisoned");
-        slot.get_or_insert(e);
+    let append = |log: &Appender, line: &str| {
+        if let Err(e) = log.append(line) {
+            stop.store(true, Ordering::Relaxed);
+            io_error.lock().expect("io_error poisoned").get_or_insert(e);
+        }
+    };
+    // Counts a job whose result row was just appended.
+    let complete = |row: &ResultRow, name: &str, kernel: KernelKind, how: &str| {
+        let done = done.fetch_add(1, Ordering::Relaxed) + 1;
+        if cfg.progress {
+            println!(
+                "[{done}/{total}] {name} x {kernel}: {} ({how}base {} / via {})",
+                speedup(row.speedup()),
+                row.base_cycles,
+                row.via_cycles
+            );
+        }
+        if cfg.max_jobs.is_some_and(|limit| done >= limit) {
+            stop.store(true, Ordering::Relaxed);
+        }
+    };
+    let quarantine = |row: QuarantineRow| {
+        append(&quarantine_log, &row.to_jsonl());
+        if cfg.progress {
+            println!(
+                "[{}/{total}] {} x {}: quarantined ({})",
+                done.load(Ordering::Relaxed),
+                row.matrix,
+                row.kernel,
+                row.kind
+            );
+        }
+        JobOutcome::Quarantined
     };
 
-    std::thread::scope(|scope| {
-        for w in 0..threads {
-            let jobs = &jobs;
-            let manifest = &manifest;
-            let quarantined_keys = &quarantined_keys;
-            let cycle_memo = &cycle_memo;
-            let results_log = &results_log;
-            let quarantine_log = &quarantine_log;
-            let cycles_log = &cycles_log;
-            let next = &next;
-            let stop = &stop;
-            let completed = &completed;
-            let skipped = &skipped;
-            let foreign = &foreign;
-            let quarantined = &quarantined;
-            let cycle_hits = &cycle_hits;
-            let simulated_cycles = &simulated_cycles;
-            let per_worker = &per_worker;
-            let record_io_err = &record_io_err;
-            let config_name = config_name.clone();
-            let via = cfg.via;
-            let shard = cfg.shard;
-            let skip_quarantined = mode != Mode::RetryQuarantined;
-            let (progress, max_jobs) = (cfg.progress, cfg.max_jobs);
-            let backends = cfg.backends;
-            scope.spawn(move || loop {
-                if stop.load(Ordering::Relaxed) {
-                    break;
-                }
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                if i >= jobs.len() {
-                    break;
-                }
-                let job = &jobs[i];
-                let name = job.source.name();
-                let kernel = job.kernel;
-                // Previously quarantined jobs are only re-attempted in
-                // retry mode (where the schedule contains nothing else);
-                // a plain resume leaves them quarantined rather than
-                // re-burning their budget on every restart.
-                if skip_quarantined
-                    && quarantined_keys.contains(&(
-                        name.clone(),
-                        kernel.name().to_string(),
-                        config_name.clone(),
-                    ))
-                {
-                    skipped.fetch_add(1, Ordering::Relaxed);
-                    continue;
-                }
-                let fingerprint = match job.source.fingerprint() {
-                    Ok(fp) => fp,
-                    Err(e) => {
-                        let row = QuarantineRow {
-                            matrix: name.clone(),
-                            kernel: kernel.name().to_string(),
-                            config: config_name.clone(),
-                            kind: FailureKind::Io.name().to_string(),
-                            chain: vec![format!("cannot read input: {e}")],
-                        };
-                        if let Err(e) = quarantine_log.append(&row.to_jsonl()) {
-                            record_io_err(e);
-                        }
-                        quarantined.fetch_add(1, Ordering::Relaxed);
-                        if progress {
-                            println!("[{i}/{total}] {name} x {kernel}: quarantined (io)");
-                        }
-                        continue;
-                    }
-                };
-                // Shard partition: a job whose content key this shard does
-                // not own is someone else's work — never executed, never
-                // logged here. Pure function of the job identity, so the
-                // partition is stable across worker counts and kills.
-                if !shard.owns(shard_key(fingerprint, kernel.name(), &config_name)) {
-                    foreign.fetch_add(1, Ordering::Relaxed);
-                    continue;
-                }
-                if manifest.contains(&(fingerprint, kernel.name().to_string(), config_name.clone()))
-                {
-                    skipped.fetch_add(1, Ordering::Relaxed);
-                    continue;
-                }
-                // Level-two memo: a prior campaign already simulated this
-                // (matrix, kernel, config) under the same timing config —
-                // rebuild the result row from `cycles.jsonl` and skip the
-                // simulator entirely.
-                let memo_hit = cycle_memo
-                    .get(&(fingerprint, kernel.name().to_string(), config_name.clone()))
-                    .filter(|c| c.config_hash == timing_hash)
-                    // A backends run needs the SSR column; memo rows from
-                    // plain campaigns lack it (except SpMA, which has no
-                    // SSR leg) and fall through to the simulator.
-                    .filter(|c| !backends || c.ssr_cycles.is_some() || kernel == KernelKind::Spma);
-                via_sim::telemetry::record_cycle_cache(memo_hit.is_some());
-                if let Some(c) = memo_hit {
-                    via_sim::telemetry::record_skipped_instructions(
-                        c.base_instructions + c.via_instructions + c.ssr_instructions.unwrap_or(0),
-                    );
-                    let row = c.to_result_row();
-                    if let Err(e) = results_log.append(&row.to_jsonl()) {
-                        record_io_err(e);
-                    }
-                    per_worker[w].fetch_add(1, Ordering::Relaxed);
-                    cycle_hits.fetch_add(1, Ordering::Relaxed);
-                    let done = completed.fetch_add(1, Ordering::Relaxed) + 1;
-                    if progress {
-                        println!(
-                            "[{done}/{total}] {name} x {kernel}: {} (memo hit, base {} / via {})",
-                            speedup(row.speedup()),
-                            row.base_cycles,
-                            row.via_cycles
-                        );
-                    }
-                    if let Some(limit) = max_jobs {
-                        if done >= limit {
-                            stop.store(true, Ordering::Relaxed);
-                        }
-                    }
-                    continue;
-                }
-                let source = job.source.clone();
-                let outcome = run_with_budget(budget, &name, move || {
-                    execute_job(source, kernel, via, fingerprint, timing_hash, backends)
-                })
-                .and_then(|inner| inner);
-                match outcome {
-                    Ok((row, memo)) => {
-                        simulated_cycles.fetch_add(
-                            row.base_cycles + row.via_cycles + row.ssr_cycles.unwrap_or(0),
-                            Ordering::Relaxed,
-                        );
-                        if let Err(e) = results_log.append(&row.to_jsonl()) {
-                            record_io_err(e);
-                        }
-                        if let Err(e) = cycles_log.append(&memo.to_jsonl()) {
-                            record_io_err(e);
-                        }
-                        per_worker[w].fetch_add(1, Ordering::Relaxed);
-                        let done = completed.fetch_add(1, Ordering::Relaxed) + 1;
-                        if progress {
-                            println!(
-                                "[{done}/{total}] {name} x {kernel}: {} (base {} / via {})",
-                                speedup(row.speedup()),
-                                row.base_cycles,
-                                row.via_cycles
-                            );
-                        }
-                        if let Some(limit) = max_jobs {
-                            if done >= limit {
-                                stop.store(true, Ordering::Relaxed);
-                            }
-                        }
-                    }
-                    Err(fail) => {
-                        let row = QuarantineRow {
-                            matrix: name.clone(),
-                            kernel: kernel.name().to_string(),
-                            config: config_name.clone(),
-                            kind: fail.kind.name().to_string(),
-                            chain: fail.chain,
-                        };
-                        if let Err(e) = quarantine_log.append(&row.to_jsonl()) {
-                            record_io_err(e);
-                        }
-                        quarantined.fetch_add(1, Ordering::Relaxed);
-                        if progress {
-                            println!(
-                                "[{i}/{total}] {name} x {kernel}: quarantined ({})",
-                                row.kind
-                            );
-                        }
-                    }
-                }
-            });
+    let outcomes = run_jobs(total, threads, |w, i| {
+        if stop.load(Ordering::Relaxed) {
+            return (w, JobOutcome::NotRun);
+        }
+        let job = &jobs[i];
+        let name = job.source.name();
+        let kernel = job.kernel;
+        let key = |fingerprint| (fingerprint, kernel.name().to_string(), config_name.clone());
+        // Previously quarantined jobs are only re-attempted in retry mode
+        // (where the schedule contains nothing else); a plain resume
+        // leaves them quarantined rather than re-burning their budget on
+        // every restart.
+        if skip_quarantined
+            && quarantined_keys.contains(&(
+                name.clone(),
+                kernel.name().to_string(),
+                config_name.clone(),
+            ))
+        {
+            return (w, JobOutcome::Skipped);
+        }
+        let failed = |kind: &str, chain: Vec<String>| QuarantineRow {
+            matrix: name.clone(),
+            kernel: kernel.name().to_string(),
+            config: config_name.clone(),
+            kind: kind.to_string(),
+            chain,
+        };
+        let fingerprint = match job.source.fingerprint() {
+            Ok(fp) => fp,
+            Err(e) => {
+                let row = failed(
+                    FailureKind::Io.name(),
+                    vec![format!("cannot read input: {e}")],
+                );
+                return (w, quarantine(row));
+            }
+        };
+        // Shard partition: a job whose content key this shard does not own
+        // is someone else's work — never executed, never logged here. Pure
+        // function of the job identity, so the partition is stable across
+        // worker counts and kills.
+        if !cfg
+            .shard
+            .owns(shard_key(fingerprint, kernel.name(), &config_name))
+        {
+            return (w, JobOutcome::Foreign);
+        }
+        if manifest.contains(&key(fingerprint)) {
+            return (w, JobOutcome::Skipped);
+        }
+        // Level-two memo: a prior campaign already simulated this (matrix,
+        // kernel, config) under the same timing config — rebuild the result
+        // row from `cycles.jsonl` and skip the simulator entirely.
+        let memo_hit = cycle_memo
+            .get(&key(fingerprint))
+            .filter(|c| c.config_hash == timing_hash)
+            // A backends run needs the SSR column; memo rows from plain
+            // campaigns lack it (except SpMA, which has no SSR leg) and
+            // fall through to the simulator.
+            .filter(|c| !cfg.backends || c.ssr_cycles.is_some() || kernel == KernelKind::Spma);
+        via_sim::telemetry::record_cycle_cache(memo_hit.is_some());
+        if let Some(c) = memo_hit {
+            via_sim::telemetry::record_skipped_instructions(
+                c.base_instructions + c.via_instructions + c.ssr_instructions.unwrap_or(0),
+            );
+            let row = c.to_result_row();
+            append(&results_log, &row.to_jsonl());
+            complete(&row, &name, kernel, "memo hit, ");
+            return (w, JobOutcome::MemoHit);
+        }
+        let (source, via, backends) = (job.source.clone(), cfg.via, cfg.backends);
+        let outcome = run_with_budget(budget, &name, move || {
+            execute_job(source, kernel, via, fingerprint, timing_hash, backends)
+        })
+        .and_then(|inner| inner);
+        match outcome {
+            Ok((row, memo)) => {
+                append(&results_log, &row.to_jsonl());
+                append(&cycles_log, &memo.to_jsonl());
+                complete(&row, &name, kernel, "");
+                let cycles = row.base_cycles + row.via_cycles + row.ssr_cycles.unwrap_or(0);
+                (w, JobOutcome::Simulated { cycles })
+            }
+            Err(fail) => (w, quarantine(failed(fail.kind.name(), fail.chain))),
         }
     });
 
     if let Some(e) = io_error.into_inner().expect("io_error poisoned") {
         return Err(CampaignError::Io(e));
     }
-    Ok(CampaignOutcome {
-        completed: completed.into_inner(),
-        skipped: skipped.into_inner(),
-        foreign: foreign.into_inner(),
-        quarantined: quarantined.into_inner(),
-        aborted: stop.into_inner() && cfg.max_jobs.is_some(),
-        per_worker: per_worker.into_iter().map(|a| a.into_inner()).collect(),
-        simulated_cycles: simulated_cycles.into_inner(),
-        cycle_cache_hits: cycle_hits.into_inner(),
-    })
+    let mut outcome = CampaignOutcome {
+        completed: 0,
+        skipped: 0,
+        foreign: 0,
+        quarantined: 0,
+        aborted: false,
+        per_worker: vec![0; threads],
+        simulated_cycles: 0,
+        cycle_cache_hits: 0,
+    };
+    for (w, job) in outcomes {
+        match job {
+            JobOutcome::Simulated { cycles } => {
+                outcome.completed += 1;
+                outcome.per_worker[w] += 1;
+                outcome.simulated_cycles += cycles;
+            }
+            JobOutcome::MemoHit => {
+                outcome.completed += 1;
+                outcome.per_worker[w] += 1;
+                outcome.cycle_cache_hits += 1;
+            }
+            JobOutcome::Skipped => outcome.skipped += 1,
+            JobOutcome::Foreign => outcome.foreign += 1,
+            JobOutcome::Quarantined => outcome.quarantined += 1,
+            JobOutcome::NotRun => outcome.aborted = true,
+        }
+    }
+    Ok(outcome)
 }
 
 // ---------------------------------------------------------------------------

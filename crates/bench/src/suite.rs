@@ -39,7 +39,8 @@ impl Default for ExperimentScale {
 }
 
 impl ExperimentScale {
-    /// A quick smoke-test scale (used by the wall-clock benches and CI).
+    /// A quick smoke-test scale (`campaign tune --quick`, the `multicore`
+    /// binary and CI).
     pub fn quick() -> Self {
         ExperimentScale {
             matrices: 8,
@@ -143,14 +144,6 @@ impl Suite {
 /// matrices. Results are identical for every thread count — only the
 /// schedule changes.
 ///
-/// Workers claim item indices from a shared counter (dynamic load
-/// balancing: simulated matrices vary widely in cost) and each writes only
-/// the result slots it claimed, so completion needs no lock. The previous
-/// implementation funneled every completion through one global `Mutex`,
-/// which both serialized the sweep's hottest edge and converted a worker
-/// panic into a misleading lock-poisoning panic in the *other* workers;
-/// now a worker panic propagates as itself when the scope joins.
-///
 /// # Panics
 ///
 /// Re-raises any panic from `f` after all workers have been joined.
@@ -160,11 +153,36 @@ where
     R: Send,
     F: Fn(&T) -> R + Sync,
 {
-    let threads = threads.max(1).min(items.len().max(1));
-    let mut results: Vec<Option<R>> = (0..items.len()).map(|_| None).collect();
+    run_jobs(items.len(), threads, |_, i| f(&items[i]))
+}
+
+/// The number of workers [`run_jobs`] starts for `jobs` jobs: `threads`
+/// clamped to `1..=jobs` (one worker even when there is nothing to run).
+pub(crate) fn worker_count(jobs: usize, threads: usize) -> usize {
+    threads.max(1).min(jobs.max(1))
+}
+
+/// The crate's one job executor, behind [`parallel_map`] and the
+/// campaign: calls `f(worker, index)` once for every index in `0..jobs`
+/// and returns the results in index order. `worker` is in
+/// `0..worker_count(jobs, threads)`; with one worker everything runs on
+/// the calling thread.
+///
+/// Workers claim indices from a shared counter (dynamic load balancing:
+/// simulated matrices vary widely in cost) and each writes only the result
+/// slots it claimed, so completion needs no lock. A worker panic
+/// propagates as itself once every worker has been joined, rather than as
+/// lock poisoning in the other workers.
+pub(crate) fn run_jobs<R, F>(jobs: usize, threads: usize, f: F) -> Vec<R>
+where
+    R: Send,
+    F: Fn(usize, usize) -> R + Sync,
+{
+    let threads = worker_count(jobs, threads);
+    let mut results: Vec<Option<R>> = (0..jobs).map(|_| None).collect();
     if threads == 1 {
-        for (slot, item) in results.iter_mut().zip(items) {
-            *slot = Some(f(item));
+        for (i, slot) in results.iter_mut().enumerate() {
+            *slot = Some(f(0, i));
         }
     } else {
         struct Slots<R>(*mut Option<R>);
@@ -176,13 +194,13 @@ where
         let (slots, next, f) = (&slots, &next, &f);
         std::thread::scope(|scope| {
             let mut workers = Vec::with_capacity(threads);
-            for _ in 0..threads {
+            for w in 0..threads {
                 workers.push(scope.spawn(move || loop {
                     let i = next.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                    if i >= items.len() {
+                    if i >= jobs {
                         break;
                     }
-                    let r = f(&items[i]);
+                    let r = f(w, i);
                     // SAFETY: `i` was claimed exclusively above.
                     unsafe {
                         let slot = slots.0.add(i);
@@ -210,7 +228,7 @@ where
         // (so each slot had exactly one writer) before `results` is touched
         // again here on the parent thread.
         debug_assert!(
-            next.load(std::sync::atomic::Ordering::Relaxed) >= items.len(),
+            next.load(std::sync::atomic::Ordering::Relaxed) >= jobs,
             "workers exited before claiming every index"
         );
     }

@@ -141,6 +141,23 @@ fn killed_campaign_resumes_to_byte_identical_store() {
 }
 
 #[test]
+fn max_jobs_equal_to_the_job_count_is_not_an_abort() {
+    // The last runnable job reaches the limit and raises the stop flag,
+    // but nothing is left unrun, so the run finished rather than stopped.
+    let corpus = small_corpus();
+    let total = corpus.jobs(&[KernelKind::SpmvCsb, KernelKind::Spma]).len();
+    let dir = Scratch::new("max_jobs_total");
+    let mut cfg = config(dir.path());
+    cfg.max_jobs = Some(total);
+    let outcome = run_campaign(&cfg, &corpus, Mode::Fresh).expect("run");
+    assert_eq!(outcome.completed, total);
+    assert!(
+        !outcome.aborted,
+        "a run that ran every job did not stop early"
+    );
+}
+
+#[test]
 fn warm_cycle_memo_resumes_without_simulating() {
     let corpus = small_corpus();
     let total = 20;

@@ -30,20 +30,20 @@ fi
 CORPUS="--synthetic 12 --min-rows 48 --max-rows 128 --quiet"
 
 echo "==> solo reference run"
-"$BIN" --dir "$OUT/solo" $CORPUS >/dev/null
+"$BIN" run --dir "$OUT/solo" $CORPUS >/dev/null
 "$BIN" merge "$OUT/solo_canon" "$OUT/solo"
 
 echo "==> 3 concurrent shards (shard 1 killed at ~30% and resumed)"
-"$BIN" --dir "$OUT/shard0" $CORPUS --shard 0/3 >/dev/null &
+"$BIN" run --dir "$OUT/shard0" $CORPUS --shard 0/3 >/dev/null &
 SHARD0=$!
-"$BIN" --dir "$OUT/shard2" $CORPUS --shard 2/3 >/dev/null &
+"$BIN" run --dir "$OUT/shard2" $CORPUS --shard 2/3 >/dev/null &
 SHARD2=$!
-"$BIN" --dir "$OUT/shard1" $CORPUS --shard 1/3 --max-jobs 1 >/dev/null
-"$BIN" --dir "$OUT/shard1" $CORPUS --shard 1/3 --resume >/dev/null
+"$BIN" run --dir "$OUT/shard1" $CORPUS --shard 1/3 --max-jobs 1 >/dev/null
+"$BIN" run --dir "$OUT/shard1" $CORPUS --shard 1/3 --resume >/dev/null
 wait $SHARD0 $SHARD2
 
 echo "==> shard spec guard: resuming shard 1 as solo must be refused"
-if "$BIN" --dir "$OUT/shard1" $CORPUS --resume >/dev/null 2>&1; then
+if "$BIN" run --dir "$OUT/shard1" $CORPUS --resume >/dev/null 2>&1; then
     echo "ERROR: resume under a different shard spec was not refused" >&2
     exit 1
 fi
